@@ -1,6 +1,8 @@
 package deadlinedist
 
 import (
+	"context"
+
 	"deadlinedist/internal/analysis"
 	"deadlinedist/internal/apps"
 	"deadlinedist/internal/assign"
@@ -127,7 +129,7 @@ func CCEXP() CommEstimator { return core.CCEXP() }
 // release times and local deadlines using metric m and communication-cost
 // estimator e. It never modifies g.
 func Distribute(g *Graph, sys *System, m Metric, e CommEstimator) (*Result, error) {
-	return Distributor{Metric: m, Estimator: e}.Distribute(g, sys)
+	return Distributor{Metric: m, Estimator: e}.Distribute(context.Background(), g, sys, nil, nil)
 }
 
 // Baseline one-pass assignment strategies (see internal/strategy).

@@ -229,7 +229,7 @@ func BenchmarkDistribute(b *testing.B) {
 					d := core.Distributor{Metric: m, Estimator: core.CCNE()}
 					b.ReportAllocs()
 					for i := 0; i < b.N; i++ {
-						if _, err := d.Distribute(g, sys); err != nil {
+						if _, err := d.Distribute(context.Background(), g, sys, nil, nil); err != nil {
 							b.Fatal(err)
 						}
 					}
@@ -258,7 +258,7 @@ func BenchmarkSchedulerDispatch(b *testing.B) {
 		b.Fatal(err)
 	}
 	sys := benchSystem(b, 8)
-	res, err := core.Distributor{Metric: core.ADAPT(1.25), Estimator: core.CCNE()}.Distribute(g, sys)
+	res, err := core.Distributor{Metric: core.ADAPT(1.25), Estimator: core.CCNE()}.Distribute(context.Background(), g, sys, nil, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -305,7 +305,7 @@ func BenchmarkSchedule(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		res, err := core.Distributor{Metric: core.ADAPT(1.25), Estimator: core.CCNE()}.Distribute(g, sys)
+		res, err := core.Distributor{Metric: core.ADAPT(1.25), Estimator: core.CCNE()}.Distribute(context.Background(), g, sys, nil, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -332,7 +332,7 @@ func BenchmarkPipeline(b *testing.B) {
 			cfg := scheduler.Config{RespectRelease: true}
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				res, err := d.Distribute(g, sys)
+				res, err := d.Distribute(context.Background(), g, sys, nil, nil)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -112,12 +112,12 @@ func run(ctx context.Context, args []string, stdin io.Reader, out io.Writer) err
 		return err
 	}
 	assignStart := time.Now()
-	res, err := core.Distributor{Metric: m, Estimator: e}.Distribute(g, sys)
+	res, err := core.Distributor{Metric: m, Estimator: e}.Distribute(context.Background(), g, sys, nil, nil)
 	if err != nil {
 		return err
 	}
 	rec.Observe(metrics.StageAssign, time.Since(assignStart))
-	rec.AddSearch(res.Search.Iterations, res.Search.StartsExamined, res.Search.DPRuns, res.Search.CacheReuses, res.Search.DeltaReuses)
+	rec.AddSearch(res.Search.Iterations, res.Search.StartsExamined, res.Search.DPRuns, res.Search.CacheReuses)
 	pol, err := parsePolicy(*policy)
 	if err != nil {
 		return err

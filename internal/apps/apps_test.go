@@ -1,6 +1,7 @@
 package apps
 
 import (
+	"context"
 	"errors"
 	"testing"
 
@@ -128,7 +129,7 @@ func TestAppsFullPipeline(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, m := range []core.Metric{core.PURE(), core.ADAPT(1.25)} {
-			res, err := core.Distributor{Metric: m, Estimator: core.CCNE()}.Distribute(g, sys)
+			res, err := core.Distributor{Metric: m, Estimator: core.CCNE()}.Distribute(context.Background(), g, sys, nil, nil)
 			if err != nil {
 				t.Fatalf("%s/%s: %v", app.Name, m.Name(), err)
 			}

@@ -1,6 +1,7 @@
 package assign
 
 import (
+	"context"
 	"errors"
 	"testing"
 	"testing/quick"
@@ -217,7 +218,7 @@ func TestAssignmentFirstPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := core.Distributor{Metric: core.PURE(), Estimator: core.CCKnown(a)}.Distribute(pinned, s)
+	res, err := core.Distributor{Metric: core.PURE(), Estimator: core.CCKnown(a)}.Distribute(context.Background(), pinned, s, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

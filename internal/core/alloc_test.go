@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"deadlinedist/internal/generator"
@@ -28,24 +29,24 @@ func TestDistributeScratchZeroAlloc(t *testing.T) {
 		t.Run(m.Name(), func(t *testing.T) {
 			d := Distributor{Metric: m, Estimator: CCNE()}
 			sc := NewScratch()
-			res, err := d.DistributeScratch(g, sys, nil, sc)
+			res, err := d.Distribute(context.Background(), g, sys, sc, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
 			// A second warmup run settles any cap-growth of recycled
 			// slices (Paths entries, candidate memos) before counting.
-			if res, err = d.DistributeScratch(g, sys, res, sc); err != nil {
+			if res, err = d.Distribute(context.Background(), g, sys, sc, res); err != nil {
 				t.Fatal(err)
 			}
 			allocs := testing.AllocsPerRun(10, func() {
 				var err error
-				res, err = d.DistributeScratch(g, sys, res, sc)
+				res, err = d.Distribute(context.Background(), g, sys, sc, res)
 				if err != nil {
 					t.Fatal(err)
 				}
 			})
 			if allocs != 0 {
-				t.Errorf("steady-state DistributeScratch allocates %.1f objects/op, want 0", allocs)
+				t.Errorf("steady-state scratch Distribute allocates %.1f objects/op, want 0", allocs)
 			}
 		})
 	}

@@ -37,11 +37,11 @@ func TestDistributeContextPreExpired(t *testing.T) {
 	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 	defer cancel()
 	d := Distributor{Metric: PURE(), Estimator: CCNE()}
-	if _, err := d.DistributeScratchContext(ctx, g, sys, nil, nil); !errors.Is(err, context.DeadlineExceeded) {
+	if _, err := d.Distribute(ctx, g, sys, nil, nil); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("pre-expired context: got err %v, want DeadlineExceeded", err)
 	}
-	if _, err := d.DistributeDeltaContext(ctx, g, sys, nil, NewScratch()); !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("pre-expired context (delta): got err %v, want DeadlineExceeded", err)
+	if _, err := d.Distribute(ctx, g, sys, NewScratch(), nil); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("pre-expired context (scratch): got err %v, want DeadlineExceeded", err)
 	}
 }
 
@@ -67,7 +67,7 @@ func TestDistributeContextMidRunCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	d := Distributor{Metric: &cancellingMetric{Metric: PURE(), cancel: cancel}, Estimator: CCNE()}
-	res, err := d.DistributeScratchContext(ctx, g, sys, nil, NewScratch())
+	res, err := d.Distribute(ctx, g, sys, NewScratch(), nil)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("mid-run cancel: got err %v, want Canceled", err)
 	}
@@ -77,8 +77,8 @@ func TestDistributeContextMidRunCancel(t *testing.T) {
 }
 
 // TestDistributeContextNilAndLiveMatch: a live, never-cancelled context
-// must produce the bit-identical result of the context-free entry point,
-// and an aborted delta run must not poison the scratch carry-over.
+// must produce the bit-identical result of a context with a nil Done
+// channel, and an aborted run must not poison the scratch it ran on.
 func TestDistributeContextNilAndLiveMatch(t *testing.T) {
 	g := chains(t, 4)
 	sys, err := platform.New(4)
@@ -86,31 +86,33 @@ func TestDistributeContextNilAndLiveMatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	d := Distributor{Metric: THRES(0.1, 1.0), Estimator: CCAA()}
-	want, err := d.Distribute(g, sys)
+	want, err := d.Distribute(context.Background(), g, sys, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := d.DistributeScratchContext(context.Background(), g, sys, nil, NewScratch())
+	live, stop := context.WithCancel(context.Background())
+	defer stop()
+	got, err := d.Distribute(live, g, sys, NewScratch(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if diff := sameResult(want, got); diff != "" {
-		t.Fatalf("context run differs from plain run: %s", diff)
+		t.Fatalf("live-context run differs from plain run: %s", diff)
 	}
 
-	// Abort a delta run mid-way, then rerun cold on the same scratch: the
-	// answer must still match.
+	// Abort a run mid-way, then rerun on the same scratch: the answer must
+	// still match.
 	sc := NewScratch()
 	ctx, cancel := context.WithCancel(context.Background())
 	dc := Distributor{Metric: &cancellingMetric{Metric: THRES(0.1, 1.0), cancel: cancel}, Estimator: CCAA()}
-	if _, err := dc.DistributeDeltaContext(ctx, g, sys, nil, sc); !errors.Is(err, context.Canceled) {
-		t.Fatalf("delta abort: got err %v, want Canceled", err)
+	if _, err := dc.Distribute(ctx, g, sys, sc, nil); !errors.Is(err, context.Canceled) {
+		t.Fatalf("abort: got err %v, want Canceled", err)
 	}
-	got2, err := d.DistributeDeltaContext(context.Background(), g, sys, nil, sc)
+	got2, err := d.Distribute(context.Background(), g, sys, sc, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if diff := sameResult(want, got2); diff != "" {
-		t.Fatalf("delta run after abort differs from plain run: %s", diff)
+		t.Fatalf("run after abort differs from plain run: %s", diff)
 	}
 }

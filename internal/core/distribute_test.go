@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"math"
 	"testing"
@@ -13,7 +14,7 @@ import (
 
 func distribute(t *testing.T, g *taskgraph.Graph, m Metric, e CommEstimator, nproc int) *Result {
 	t.Helper()
-	res, err := Distributor{Metric: m, Estimator: e}.Distribute(g, sys(t, nproc))
+	res, err := Distributor{Metric: m, Estimator: e}.Distribute(context.Background(), g, sys(t, nproc), nil, nil)
 	if err != nil {
 		t.Fatalf("Distribute(%s,%s): %v", m.Name(), e.Name(), err)
 	}
@@ -210,13 +211,13 @@ func TestDistributeErrors(t *testing.T) {
 	g := threeChain(t)
 	s := sys(t, 2)
 	t.Run("nil metric", func(t *testing.T) {
-		_, err := Distributor{Estimator: CCNE()}.Distribute(g, s)
+		_, err := Distributor{Estimator: CCNE()}.Distribute(context.Background(), g, s, nil, nil)
 		if !errors.Is(err, ErrNilStrategy) {
 			t.Fatalf("got %v, want ErrNilStrategy", err)
 		}
 	})
 	t.Run("nil estimator", func(t *testing.T) {
-		_, err := Distributor{Metric: PURE()}.Distribute(g, s)
+		_, err := Distributor{Metric: PURE()}.Distribute(context.Background(), g, s, nil, nil)
 		if !errors.Is(err, ErrNilStrategy) {
 			t.Fatalf("got %v, want ErrNilStrategy", err)
 		}
@@ -228,7 +229,7 @@ func TestDistributeErrors(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, err = Distributor{Metric: PURE(), Estimator: CCNE()}.Distribute(g2, s)
+		_, err = Distributor{Metric: PURE(), Estimator: CCNE()}.Distribute(context.Background(), g2, s, nil, nil)
 		if !errors.Is(err, ErrNoDeadline) {
 			t.Fatalf("got %v, want ErrNoDeadline", err)
 		}
@@ -307,7 +308,7 @@ func TestPropertyDistributionInvariants(t *testing.T) {
 		}
 		for _, m := range metrics {
 			for _, e := range estimators {
-				res, err := Distributor{Metric: m, Estimator: e}.Distribute(g, s)
+				res, err := Distributor{Metric: m, Estimator: e}.Distribute(context.Background(), g, s, nil, nil)
 				if err != nil {
 					t.Logf("seed %d %s/%s: %v", seed, m.Name(), e.Name(), err)
 					return false
@@ -336,7 +337,7 @@ func TestPropertyOutputsWithinEndToEnd(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		res, err := Distributor{Metric: PURE(), Estimator: CCNE()}.Distribute(g, s)
+		res, err := Distributor{Metric: PURE(), Estimator: CCNE()}.Distribute(context.Background(), g, s, nil, nil)
 		if err != nil {
 			return false
 		}
@@ -446,7 +447,7 @@ func TestPropertyOverloadWindowsSumToDeadline(t *testing.T) {
 			return false
 		}
 		for _, m := range metrics {
-			res, err := Distributor{Metric: m, Estimator: CCNE()}.Distribute(g, s)
+			res, err := Distributor{Metric: m, Estimator: CCNE()}.Distribute(context.Background(), g, s, nil, nil)
 			if err != nil {
 				t.Logf("seed %d %s: %v", seed, m.Name(), err)
 				return false

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -142,7 +143,7 @@ func TestPropertyOptimizedMatchesReference(t *testing.T) {
 				for _, e := range estimators {
 					for _, sys := range systems {
 						d := Distributor{Metric: m, Estimator: e}
-						got, err1 := d.Distribute(g, sys)
+						got, err1 := d.Distribute(context.Background(), g, sys, nil, nil)
 						want, err2 := referenceDistribute(d, g, sys)
 						if (err1 == nil) != (err2 == nil) {
 							t.Fatalf("seed %d %s %s/%s: optimized err %v, reference err %v",
@@ -189,7 +190,7 @@ func TestPropertyOverloadMatchesReference(t *testing.T) {
 		}
 		for _, m := range metrics {
 			d := Distributor{Metric: m, Estimator: CCNE()}
-			got, err1 := d.Distribute(g, s)
+			got, err1 := d.Distribute(context.Background(), g, s, nil, nil)
 			want, err2 := referenceDistribute(d, g, s)
 			if err1 != nil || err2 != nil {
 				t.Fatalf("seed %d %s: errs %v, %v", seed, m.Name(), err1, err2)

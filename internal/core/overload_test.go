@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -47,7 +48,7 @@ func TestSliceProportionalSplitFallback(t *testing.T) {
 	}
 
 	d := Distributor{Metric: negWindow{Metric: PURE()}, Estimator: CCNE()}
-	res, err := d.Distribute(g, sys(t, 4))
+	res, err := d.Distribute(context.Background(), g, sys(t, 4), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +107,7 @@ func TestSliceZeroSpanClampsAll(t *testing.T) {
 	}
 
 	d := Distributor{Metric: negWindow{Metric: PURE()}, Estimator: CCNE()}
-	res, err := d.Distribute(g, sys(t, 4))
+	res, err := d.Distribute(context.Background(), g, sys(t, 4), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

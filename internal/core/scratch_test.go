@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -31,11 +32,11 @@ func TestDistributeScratchMatchesFresh(t *testing.T) {
 			}
 			for _, m := range metrics {
 				d := Distributor{Metric: m, Estimator: CCNE()}
-				want, err := d.Distribute(g, sys)
+				want, err := d.Distribute(context.Background(), g, sys, nil, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
-				got, err := d.DistributeScratch(g, sys, recycle, sc)
+				got, err := d.Distribute(context.Background(), g, sys, sc, recycle)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -63,20 +64,20 @@ func TestDistributeIntoRecyclesStorage(t *testing.T) {
 		t.Fatal(err)
 	}
 	d := Distributor{Metric: PURE(), Estimator: CCNE()}
-	first, err := d.Distribute(g, sys)
+	first, err := d.Distribute(context.Background(), g, sys, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := d.Distribute(g, sys)
+	want, err := d.Distribute(context.Background(), g, sys, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := d.DistributeInto(g, sys, first)
+	got, err := d.Distribute(context.Background(), g, sys, nil, first)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got != first {
-		t.Error("DistributeInto did not return the recycled Result")
+		t.Error("Distribute did not return the recycled Result")
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Error("recycled distribution differs from fresh run")

@@ -49,8 +49,15 @@ type Assigner interface {
 	// are never cached and never match, so Assign runs afresh and surfaces
 	// the underlying error.
 	Fingerprint(g *taskgraph.Graph, sys *platform.System) (fp []float64, ok bool)
-	// Assign produces the annotated graph.
-	Assign(g *taskgraph.Graph, sys *platform.System) (*core.Result, error)
+	// Assign produces the annotated graph. sc is a pooled distributor
+	// working set and recycle a spent Result the engine owns exclusively;
+	// either may be nil, and strategies without a slicing distribution
+	// ignore both. Slicing strategies poll ctx between slicing rounds, so
+	// a unit whose deadline expires mid-DP errs out at the next round
+	// boundary instead of computing (or, in the orchestrator, publishing)
+	// an answer nobody can use.
+	Assign(ctx context.Context, g *taskgraph.Graph, sys *platform.System,
+		sc *core.Scratch, recycle *core.Result) (*core.Result, error)
 }
 
 // slicingAssigner adapts a core.Distributor.
@@ -80,60 +87,9 @@ func (a slicingAssigner) Fingerprint(g *taskgraph.Graph, sys *platform.System) (
 	return fp, true
 }
 
-func (a slicingAssigner) Assign(g *taskgraph.Graph, sys *platform.System) (*core.Result, error) {
-	return a.dist.Distribute(g, sys)
-}
-
-func (a slicingAssigner) AssignInto(g *taskgraph.Graph, sys *platform.System,
-	recycle *core.Result, sc *core.Scratch) (*core.Result, error) {
-	return a.dist.DistributeScratch(g, sys, recycle, sc)
-}
-
-func (a slicingAssigner) AssignDelta(g *taskgraph.Graph, sys *platform.System,
-	recycle *core.Result, sc *core.Scratch) (*core.Result, error) {
-	return a.dist.DistributeDelta(g, sys, recycle, sc)
-}
-
-func (a slicingAssigner) AssignContext(ctx context.Context, g *taskgraph.Graph, sys *platform.System,
-	recycle *core.Result, sc *core.Scratch, delta bool) (*core.Result, error) {
-	if delta {
-		return a.dist.DistributeDeltaContext(ctx, g, sys, recycle, sc)
-	}
-	return a.dist.DistributeScratchContext(ctx, g, sys, recycle, sc)
-}
-
-// resultRecycler is an optional Assigner capability: strategies that can
-// overwrite a spent Result instead of allocating a fresh one, and run off a
-// pooled distributor working set, implement it. The engine only offers
-// results it owns exclusively (never ones published to, or obtained from, a
-// shared cache); the scratch is always the calling worker's own. Either
-// argument may be nil.
-type resultRecycler interface {
-	AssignInto(g *taskgraph.Graph, sys *platform.System, recycle *core.Result, sc *core.Scratch) (*core.Result, error)
-}
-
-// deltaAssigner is an optional Assigner capability: strategies whose
-// distribution can replay memoized critical-path evaluations carried on the
-// scratch from the previous call (core.DistributeDelta) implement it. The
-// result is bit-for-bit identical to AssignInto on the same inputs — only
-// the amount of recomputation changes — so the engine may substitute it
-// freely when Config.DeltaReuse is set.
-type deltaAssigner interface {
-	AssignDelta(g *taskgraph.Graph, sys *platform.System, recycle *core.Result, sc *core.Scratch) (*core.Result, error)
-}
-
-// contextAssigner is an optional Assigner capability: strategies whose
-// distribution polls a context between slicing rounds
-// (core.DistributeScratchContext) implement it, so a unit whose deadline
-// expires mid-DP is abandoned cooperatively — its goroutine errs out at
-// the next round boundary instead of computing an answer nobody can use
-// (and, in the orchestrator, instead of publishing one to the shared
-// caches). A nil or live context computes the bit-identical result of
-// AssignInto/AssignDelta. delta requests the carry-over entry point, with
-// the same fallback semantics as deltaAssigner.
-type contextAssigner interface {
-	AssignContext(ctx context.Context, g *taskgraph.Graph, sys *platform.System,
-		recycle *core.Result, sc *core.Scratch, delta bool) (*core.Result, error)
+func (a slicingAssigner) Assign(ctx context.Context, g *taskgraph.Graph, sys *platform.System,
+	sc *core.Scratch, recycle *core.Result) (*core.Result, error) {
+	return a.dist.Distribute(ctx, g, sys, sc, recycle)
 }
 
 // dynSlicingAssigner is a slicing assigner whose estimator depends on the
@@ -167,39 +123,13 @@ func (a dynSlicingAssigner) Fingerprint(g *taskgraph.Graph, sys *platform.System
 	return a.metric.VirtualCosts(g, sys, e.Estimate(g, sys)), true
 }
 
-func (a dynSlicingAssigner) Assign(g *taskgraph.Graph, sys *platform.System) (*core.Result, error) {
-	return a.AssignInto(g, sys, nil, nil)
-}
-
-func (a dynSlicingAssigner) AssignInto(g *taskgraph.Graph, sys *platform.System,
-	recycle *core.Result, sc *core.Scratch) (*core.Result, error) {
+func (a dynSlicingAssigner) Assign(ctx context.Context, g *taskgraph.Graph, sys *platform.System,
+	sc *core.Scratch, recycle *core.Result) (*core.Result, error) {
 	e, err := a.est(sys)
 	if err != nil {
 		return nil, err
 	}
-	return core.Distributor{Metric: a.metric, Estimator: e}.DistributeScratch(g, sys, recycle, sc)
-}
-
-func (a dynSlicingAssigner) AssignDelta(g *taskgraph.Graph, sys *platform.System,
-	recycle *core.Result, sc *core.Scratch) (*core.Result, error) {
-	e, err := a.est(sys)
-	if err != nil {
-		return nil, err
-	}
-	return core.Distributor{Metric: a.metric, Estimator: e}.DistributeDelta(g, sys, recycle, sc)
-}
-
-func (a dynSlicingAssigner) AssignContext(ctx context.Context, g *taskgraph.Graph, sys *platform.System,
-	recycle *core.Result, sc *core.Scratch, delta bool) (*core.Result, error) {
-	e, err := a.est(sys)
-	if err != nil {
-		return nil, err
-	}
-	d := core.Distributor{Metric: a.metric, Estimator: e}
-	if delta {
-		return d.DistributeDeltaContext(ctx, g, sys, recycle, sc)
-	}
-	return d.DistributeScratchContext(ctx, g, sys, recycle, sc)
+	return core.Distributor{Metric: a.metric, Estimator: e}.Distribute(ctx, g, sys, sc, recycle)
 }
 
 // baselineAssigner adapts a strategy.Strategy (platform-independent).
@@ -218,7 +148,8 @@ func (a baselineAssigner) Fingerprint(*taskgraph.Graph, *platform.System) ([]flo
 	return nil, true // platform-independent
 }
 
-func (a baselineAssigner) Assign(g *taskgraph.Graph, _ *platform.System) (*core.Result, error) {
+func (a baselineAssigner) Assign(_ context.Context, g *taskgraph.Graph, _ *platform.System,
+	_ *core.Scratch, _ *core.Result) (*core.Result, error) {
 	return a.s.Assign(g)
 }
 
@@ -253,27 +184,9 @@ func (a assignFirst) Fingerprint(g *taskgraph.Graph, sys *platform.System) ([]fl
 	return a.metric.VirtualCosts(g, sys, est), true
 }
 
-func (a assignFirst) Assign(g *taskgraph.Graph, sys *platform.System) (*core.Result, error) {
-	return a.AssignInto(g, sys, nil, nil)
-}
-
-func (a assignFirst) AssignInto(g *taskgraph.Graph, sys *platform.System,
-	recycle *core.Result, sc *core.Scratch) (*core.Result, error) {
-	return core.Distributor{Metric: a.metric, Estimator: core.CCKnown(nil)}.DistributeScratch(g, sys, recycle, sc)
-}
-
-func (a assignFirst) AssignDelta(g *taskgraph.Graph, sys *platform.System,
-	recycle *core.Result, sc *core.Scratch) (*core.Result, error) {
-	return core.Distributor{Metric: a.metric, Estimator: core.CCKnown(nil)}.DistributeDelta(g, sys, recycle, sc)
-}
-
-func (a assignFirst) AssignContext(ctx context.Context, g *taskgraph.Graph, sys *platform.System,
-	recycle *core.Result, sc *core.Scratch, delta bool) (*core.Result, error) {
-	d := core.Distributor{Metric: a.metric, Estimator: core.CCKnown(nil)}
-	if delta {
-		return d.DistributeDeltaContext(ctx, g, sys, recycle, sc)
-	}
-	return d.DistributeScratchContext(ctx, g, sys, recycle, sc)
+func (a assignFirst) Assign(ctx context.Context, g *taskgraph.Graph, sys *platform.System,
+	sc *core.Scratch, recycle *core.Result) (*core.Result, error) {
+	return core.Distributor{Metric: a.metric, Estimator: core.CCKnown(nil)}.Distribute(ctx, g, sys, sc, recycle)
 }
 
 // improvedAssigner wraps a slicing distribution with the reference-[3]
@@ -304,8 +217,12 @@ func (a improvedAssigner) Fingerprint(g *taskgraph.Graph, sys *platform.System) 
 	return append(append([]float64(nil), fp...), float64(sys.NumProcs())), true
 }
 
-func (a improvedAssigner) Assign(g *taskgraph.Graph, sys *platform.System) (*core.Result, error) {
-	res, err := a.dist.Distribute(g, sys)
+// Assign distributes, then improves a copy of the distribution (improve.Run
+// clones its input, so the pooled scratch and recycled Result are safe to
+// use here).
+func (a improvedAssigner) Assign(ctx context.Context, g *taskgraph.Graph, sys *platform.System,
+	sc *core.Scratch, recycle *core.Result) (*core.Result, error) {
+	res, err := a.dist.Distribute(ctx, g, sys, sc, recycle)
 	if err != nil {
 		return nil, err
 	}
@@ -362,17 +279,9 @@ type Config struct {
 	Network func(n int) (*channel.Network, error)
 	// Measure maps a run to the observed value (default MaxLateness).
 	Measure Measure
-	// DeltaReuse lets slicing assigners carry memoized critical-path search
-	// state across the consecutive distributions each worker runs
-	// (core.DistributeDelta): when a graph is a small delta of the one the
-	// worker just sliced under the same metric, still-valid evaluations are
-	// replayed instead of recomputed. Tables are bit-for-bit identical with
-	// the flag on or off (TestRunDeltaReuseMatches); only the amount of
-	// recomputation changes.
-	DeltaReuse bool
-	// Workers bounds the number of concurrent graph pipelines
-	// (default GOMAXPROCS). Ignored when Orchestrator is set — the shared
-	// pool's size governs instead.
+	// Workers sizes the run's private orchestrator pool (default
+	// GOMAXPROCS). Ignored when Orchestrator is set — the shared pool's
+	// size governs instead.
 	Workers int
 	// CrossCacheCap overrides the orchestrator's cross-table assignment
 	// cache capacity (entries; default 2^16). Applied to Orchestrator when
@@ -380,13 +289,15 @@ type Config struct {
 	// wins. 0 keeps the current capacity. Only meaningful with
 	// Orchestrator set.
 	CrossCacheCap int
-	// Orchestrator, when non-nil, runs this sweep through the shared
+	// Orchestrator, when non-nil, runs this sweep through a shared
 	// cross-table pool and caches: graph pipelines are submitted as jobs to
 	// the shared worker pool (so tables overlap instead of draining the
 	// pool at table boundaries), the workload batch is fetched from the
 	// content-addressed batch cache, and assignments with known
-	// fingerprints are reused across every table sharing the batch. Output
-	// is bit-for-bit identical to an unorchestrated run.
+	// fingerprints are reused across every table sharing the batch. When
+	// nil, the run builds a private orchestrator of Workers workers and
+	// closes it before returning; output is bit-for-bit identical either
+	// way.
 	Orchestrator *Orchestrator
 	// Structured, when non-nil, replaces the random generator with a
 	// structured shape (its Workload field is overwritten with Workload).
@@ -458,39 +369,6 @@ type labelled struct {
 }
 
 func (l labelled) Label() string { return l.label }
-
-// AssignInto forwards recycling to the wrapped assigner when it supports
-// it, so relabelling does not cost the allocation win.
-func (l labelled) AssignInto(g *taskgraph.Graph, sys *platform.System,
-	recycle *core.Result, sc *core.Scratch) (*core.Result, error) {
-	if r, ok := l.Assigner.(resultRecycler); ok {
-		return r.AssignInto(g, sys, recycle, sc)
-	}
-	return l.Assign(g, sys)
-}
-
-// AssignDelta forwards delta re-slicing to the wrapped assigner when it
-// supports it, falling back to a plain assignment otherwise.
-func (l labelled) AssignDelta(g *taskgraph.Graph, sys *platform.System,
-	recycle *core.Result, sc *core.Scratch) (*core.Result, error) {
-	if d, ok := l.Assigner.(deltaAssigner); ok {
-		return d.AssignDelta(g, sys, recycle, sc)
-	}
-	return l.AssignInto(g, sys, recycle, sc)
-}
-
-// AssignContext forwards cooperative cancellation to the wrapped assigner
-// when it supports it, falling back to the uncancellable entry points.
-func (l labelled) AssignContext(ctx context.Context, g *taskgraph.Graph, sys *platform.System,
-	recycle *core.Result, sc *core.Scratch, delta bool) (*core.Result, error) {
-	if c, ok := l.Assigner.(contextAssigner); ok {
-		return c.AssignContext(ctx, g, sys, recycle, sc, delta)
-	}
-	if delta {
-		return l.AssignDelta(g, sys, recycle, sc)
-	}
-	return l.AssignInto(g, sys, recycle, sc)
-}
 
 // Default returns the paper's experimental setup (Section 5) for the given
 // execution-time scenario: 128 graphs, 2–16 processors, contention-free
@@ -584,17 +462,14 @@ func (cfg Config) RunContext(ctx context.Context, title string, assigners ...Ass
 	if makeSys == nil {
 		makeSys = func(n int) (*platform.System, error) { return platform.New(n) }
 	}
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
+	if cfg.Orchestrator == nil {
+		cfg.Orchestrator = NewOrchestrator(cfg.Workers)
+		defer cfg.Orchestrator.Close()
 	}
-	if orc := cfg.Orchestrator; orc != nil {
-		cfg.Metrics.SetPoolWorkers(orc.Workers())
-		if cfg.CrossCacheCap > 0 {
-			orc.SetCrossCacheCap(cfg.CrossCacheCap)
-		}
-	} else {
-		cfg.Metrics.SetPoolWorkers(workers)
+	orc := cfg.Orchestrator
+	cfg.Metrics.SetPoolWorkers(orc.Workers())
+	if cfg.CrossCacheCap > 0 {
+		orc.SetCrossCacheCap(cfg.CrossCacheCap)
 	}
 
 	// rctx is the run's context: the caller's, tightened by the per-table
@@ -676,7 +551,7 @@ func (cfg Config) RunContext(ctx context.Context, title string, assigners ...Ass
 		nets:      nets,
 		assigners: assigners,
 		measure:   measure,
-		crossOK:   cfg.Orchestrator != nil && batchShared,
+		crossOK:   batchShared,
 		vals:      vals,
 		jkey:      jkey,
 		completed: prefilled,
@@ -724,59 +599,26 @@ func (cfg Config) RunContext(ctx context.Context, title string, assigners ...Ass
 			fail(gi, err)
 		}
 	}
-	if orc := cfg.Orchestrator; orc != nil {
-		// Shared pool: one job per graph, interleaving with every other
-		// run feeding the same orchestrator. Each job writes disjoint
-		// (graph, size) slots, so aggregation below stays deterministic.
-		var jobWG sync.WaitGroup
-		for gi := 0; gi < cfg.Graphs && uctx.Err() == nil; gi++ {
-			if skip[gi] {
-				continue
-			}
-			gi := gi
-			jobWG.Add(1)
-			ok := orc.submit(poolJob{rec: cfg.Metrics, fn: func(box *workerBox) {
-				defer jobWG.Done()
-				runOne(gi, box)
-			}}, uctx.Done())
-			if !ok {
-				jobWG.Done()
-				break
-			}
+	// One pool job per graph, interleaving with every other run feeding
+	// the same orchestrator. Each job writes disjoint (graph, size) slots,
+	// so aggregation below stays deterministic.
+	var jobWG sync.WaitGroup
+	for gi := 0; gi < cfg.Graphs && uctx.Err() == nil; gi++ {
+		if skip[gi] {
+			continue
 		}
-		jobWG.Wait()
-	} else {
-		jobs := make(chan int)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				// One scheduler scratch per worker: queue, bookkeeping and
-				// schedule buffers are reused across every graph × assigner
-				// × size run this worker executes. The box indirection lets
-				// the unit runner swap in a fresh one after a panicking or
-				// abandoned attempt.
-				box := &workerBox{w: newPoolWorker()}
-				for gi := range jobs {
-					runOne(gi, box)
-				}
-			}()
+		gi := gi
+		jobWG.Add(1)
+		ok := orc.submit(poolJob{rec: cfg.Metrics, fn: func(box *workerBox) {
+			defer jobWG.Done()
+			runOne(gi, box)
+		}}, uctx.Done())
+		if !ok {
+			jobWG.Done()
+			break
 		}
-	feed:
-		for gi := 0; gi < cfg.Graphs; gi++ {
-			if skip[gi] {
-				continue
-			}
-			select {
-			case jobs <- gi:
-			case <-uctx.Done():
-				break feed
-			}
-		}
-		close(jobs)
-		wg.Wait()
 	}
+	jobWG.Wait()
 	if env.jerr != nil {
 		return nil, fmt.Errorf("checkpoint journal: %w", env.jerr)
 	}
@@ -1061,17 +903,16 @@ func (s spanner) stage(stage, label string, size int, t0 time.Time, cache string
 }
 
 // sharedBatch fetches the run's batch through the orchestrator's
-// content-addressed cache when possible (no orchestrator, or a Custom
-// generator with no content identity, falls back to direct generation). The
-// second return reports whether the graphs are shared cache values — only
-// shared graphs are valid cross-table assignment-cache keys.
+// content-addressed cache (a Custom generator has no content identity and
+// falls back to direct generation). The second return reports whether the
+// graphs are shared cache values — only shared graphs are valid
+// cross-table assignment-cache keys.
 func (cfg Config) sharedBatch(ctx context.Context) ([]*taskgraph.Graph, bool, error) {
-	orc := cfg.Orchestrator
-	if orc == nil || cfg.Custom != nil {
+	if cfg.Custom != nil {
 		graphs, err := cfg.batch()
 		return graphs, false, err
 	}
-	graphs, err := orc.batch(ctx, cfg.batchID(), cfg.Metrics, cfg.batch)
+	graphs, err := cfg.Orchestrator.batch(ctx, cfg.batchID(), cfg.Metrics, cfg.batch)
 	return graphs, true, err
 }
 
@@ -1087,9 +928,9 @@ func (cfg Config) batchID() generator.BatchID {
 
 // runGraph runs one graph through every assigner and size, reusing the
 // distribution when its fingerprint is known and unchanged across sizes.
-// When crossOK is set (orchestrated run over a shared batch), per-run cache
-// misses consult the orchestrator's cross-table assignment cache before
-// computing. All stage timers are gated on a non-nil recorder — with
+// When crossOK is set (the batch is shared orchestrator storage), per-run
+// cache misses consult the orchestrator's cross-table assignment cache
+// before computing. All stage timers are gated on a non-nil recorder — with
 // metrics off, the steady state takes no clock readings.
 //
 // Results go to out[a][si] — the attempt's private buffer — never to shared
@@ -1154,19 +995,22 @@ func runGraph(ctx context.Context, cfg Config, g *taskgraph.Graph, systems []*pl
 				if crossOK && known && transformer == nil {
 					// Transformed graphs are per-size values, so only
 					// untransformed runs key the cross-table cache.
-					res, shared, err = orc.assignment(ctx, gg, sys, asg, label, fp, rec, w, cfg.DeltaReuse)
+					res, shared, err = orc.assignment(ctx, gg, sys, asg, label, fp, rec, w)
 					// "cross": the cross-table cache answered (by hit or by
 					// this worker computing and publishing — the span length
 					// tells which).
 					sp.stage("assign", label, sys.NumProcs(), at0, "cross")
 				} else {
 					t0 = rec.Start()
-					res, err = assignWith(ctx, asg, gg, sys, w, cfg.DeltaReuse)
+					// The worker's spare Result is offered for recycling:
+					// it is never shared cache storage (see below).
+					res, err = asg.Assign(ctx, gg, sys, w.dist, w.spare)
+					w.spare = nil
 					rec.Done(metrics.StageAssign, t0)
 					sp.stage("assign", label, sys.NumProcs(), at0, "miss")
 					if err == nil {
 						st := res.Search
-						rec.AddSearch(st.Iterations, st.StartsExamined, st.DPRuns, st.CacheReuses, st.DeltaReuses)
+						rec.AddSearch(st.Iterations, st.StartsExamined, st.DPRuns, st.CacheReuses)
 					}
 				}
 				if err != nil {
@@ -1234,47 +1078,14 @@ func runGraph(ctx context.Context, cfg Config, g *taskgraph.Graph, systems []*pl
 }
 
 // AssignContext runs one assignment on the given pooled working set with
-// cooperative cancellation, routing through asg's most capable entry
-// point: context-aware assigners abort between slicing rounds when ctx
-// settles; others compute to completion (ctx then only gates what the
-// caller does with the result). It is the serving layer's assignment
+// cooperative cancellation: slicing assigners abort between slicing rounds
+// when ctx settles; others compute to completion (ctx then only gates what
+// the caller does with the result). It is the serving layer's assignment
 // primitive — one request, one graph, no sweep bookkeeping. sc may be nil
 // (a fresh working set is allocated).
 func AssignContext(ctx context.Context, asg Assigner, g *taskgraph.Graph,
 	sys *platform.System, sc *core.Scratch) (*core.Result, error) {
-	if c, ok := asg.(contextAssigner); ok {
-		return c.AssignContext(ctx, g, sys, nil, sc, false)
-	}
-	if r, ok := asg.(resultRecycler); ok {
-		return r.AssignInto(g, sys, nil, sc)
-	}
-	return asg.Assign(g, sys)
-}
-
-// assignWith runs one assignment, offering the worker's spare Result and
-// pooled distributor scratch when the assigner supports them, routing
-// through the delta entry point when the run opted into carry-over reuse,
-// and threading the attempt context into the DP for assigners that can
-// abort between slicing rounds.
-func assignWith(ctx context.Context, asg Assigner, g *taskgraph.Graph, sys *platform.System, w *poolWorker, delta bool) (*core.Result, error) {
-	if c, ok := asg.(contextAssigner); ok {
-		recycle := w.spare
-		w.spare = nil
-		return c.AssignContext(ctx, g, sys, recycle, w.dist, delta)
-	}
-	if delta {
-		if d, ok := asg.(deltaAssigner); ok {
-			recycle := w.spare
-			w.spare = nil
-			return d.AssignDelta(g, sys, recycle, w.dist)
-		}
-	}
-	if r, ok := asg.(resultRecycler); ok {
-		recycle := w.spare
-		w.spare = nil
-		return r.AssignInto(g, sys, recycle, w.dist)
-	}
-	return asg.Assign(g, sys)
+	return asg.Assign(ctx, g, sys, sc, nil)
 }
 
 // batch generates the run's task graphs: random by default, one structured

@@ -580,9 +580,10 @@ func (c countingAssigner) Fingerprint(*taskgraph.Graph, *platform.System) ([]flo
 	return nil, c.known
 }
 
-func (c countingAssigner) Assign(g *taskgraph.Graph, sys *platform.System) (*core.Result, error) {
+func (c countingAssigner) Assign(ctx context.Context, g *taskgraph.Graph, sys *platform.System,
+	sc *core.Scratch, recycle *core.Result) (*core.Result, error) {
 	c.assigns.Add(1)
-	return c.inner.Assign(g, sys)
+	return c.inner.Assign(ctx, g, sys, sc, recycle)
 }
 
 func TestFingerprintCacheTraffic(t *testing.T) {
@@ -628,7 +629,8 @@ func (f failingAssigner) Fingerprint(*taskgraph.Graph, *platform.System) ([]floa
 	return nil, true
 }
 
-func (f failingAssigner) Assign(g *taskgraph.Graph, _ *platform.System) (*core.Result, error) {
+func (f failingAssigner) Assign(ctx context.Context, g *taskgraph.Graph, _ *platform.System,
+	sc *core.Scratch, recycle *core.Result) (*core.Result, error) {
 	n := f.attempts.Add(1)
 	time.Sleep(time.Millisecond)
 	return nil, fmt.Errorf("induced failure %d", n)

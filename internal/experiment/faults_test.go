@@ -266,12 +266,13 @@ func (f *countingFailAssigner) Fingerprint(*taskgraph.Graph, *platform.System) (
 	return nil, false // never cached: every size calls Assign
 }
 
-func (f *countingFailAssigner) Assign(g *taskgraph.Graph, sys *platform.System) (*core.Result, error) {
+func (f *countingFailAssigner) Assign(ctx context.Context, g *taskgraph.Graph, sys *platform.System,
+	sc *core.Scratch, recycle *core.Result) (*core.Result, error) {
 	n := f.calls.Add(1)
 	if f.failFirst == 0 || n <= f.failFirst {
 		return nil, f.err
 	}
-	return Slicing(core.PURE(), core.CCNE()).Assign(g, sys)
+	return Slicing(core.PURE(), core.CCNE()).Assign(ctx, g, sys, sc, recycle)
 }
 
 // TestCancellationYieldsPartialTable: cancelling the run context mid-sweep
@@ -446,7 +447,7 @@ func TestAssignmentErrorReleasesCacheSlot(t *testing.T) {
 	w := newPoolWorker()
 
 	for call := 1; call <= 2; call++ {
-		_, shared, err := orc.assignment(context.Background(), g, sys, fa, "FAIL", nil, nil, w, false)
+		_, shared, err := orc.assignment(context.Background(), g, sys, fa, "FAIL", nil, nil, w)
 		if err == nil {
 			t.Fatalf("call %d: erroring assignment succeeded", call)
 		}
@@ -465,7 +466,7 @@ func TestAssignmentErrorReleasesCacheSlot(t *testing.T) {
 	// A successful assignment afterwards occupies exactly one slot.
 	ok := Slicing(core.PURE(), core.CCNE())
 	fp, _ := ok.Fingerprint(g, sys)
-	if _, shared, err := orc.assignment(context.Background(), g, sys, ok, ok.Label(), fp, nil, w, false); err != nil || !shared {
+	if _, shared, err := orc.assignment(context.Background(), g, sys, ok, ok.Label(), fp, nil, w); err != nil || !shared {
 		t.Fatalf("successful assignment: shared=%v err=%v", shared, err)
 	}
 	n := orc.assignEntryCount()
@@ -494,13 +495,13 @@ func TestAssignmentPanicReleasesCacheSlot(t *testing.T) {
 				t.Fatal("panic did not propagate")
 			}
 		}()
-		orc.assignment(context.Background(), g, sys, pa, "PANIC", nil, nil, w, false)
+		orc.assignment(context.Background(), g, sys, pa, "PANIC", nil, nil, w)
 	}()
 	n := orc.assignEntryCount()
 	if n != 0 {
 		t.Fatalf("panicking assignment pinned %d cache slots", n)
 	}
-	if _, _, err := orc.assignment(context.Background(), g, sys, pa, "PANIC", nil, nil, w, false); err != nil {
+	if _, _, err := orc.assignment(context.Background(), g, sys, pa, "PANIC", nil, nil, w); err != nil {
 		t.Fatalf("second attempt after the panic failed: %v", err)
 	}
 }
@@ -514,11 +515,12 @@ func (p *panicOnceAssigner) Fingerprint(*taskgraph.Graph, *platform.System) ([]f
 	return nil, true
 }
 
-func (p *panicOnceAssigner) Assign(g *taskgraph.Graph, sys *platform.System) (*core.Result, error) {
+func (p *panicOnceAssigner) Assign(ctx context.Context, g *taskgraph.Graph, sys *platform.System,
+	sc *core.Scratch, recycle *core.Result) (*core.Result, error) {
 	if p.calls.Add(1) == 1 {
 		panic("assigner bug")
 	}
-	return Slicing(core.PURE(), core.CCNE()).Assign(g, sys)
+	return Slicing(core.PURE(), core.CCNE()).Assign(ctx, g, sys, sc, recycle)
 }
 
 // testGraph generates one deterministic workload graph.

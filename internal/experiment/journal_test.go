@@ -263,7 +263,7 @@ func TestResumeIgnoresForeignJournal(t *testing.T) {
 }
 
 // TestJournalWorksWithOrchestrator: journaled replay and the shared pool
-// compose — an orchestrated resume matches the unorchestrated reference.
+// compose — a resume on a shared orchestrator matches the private-orchestrator reference.
 func TestJournalWorksWithOrchestrator(t *testing.T) {
 	asg := orcAssigners()
 	cfg := orcCfg()
@@ -302,7 +302,7 @@ func TestJournalWorksWithOrchestrator(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got, want) {
-		t.Error("orchestrated resume differs from unorchestrated reference")
+		t.Error("shared-orchestrator resume differs from private-orchestrator reference")
 	}
 }
 

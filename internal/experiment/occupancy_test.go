@@ -1,16 +1,15 @@
 package experiment
 
 import (
+	"context"
 	"reflect"
 	"runtime"
 	"sync"
 	"testing"
 
 	"deadlinedist/internal/core"
-	"deadlinedist/internal/generator"
 	"deadlinedist/internal/metrics"
 	"deadlinedist/internal/platform"
-	"deadlinedist/internal/rng"
 	"deadlinedist/internal/strategy"
 	"deadlinedist/internal/taskgraph"
 )
@@ -44,9 +43,10 @@ func (a *meetAssigner) rendezvous(g *taskgraph.Graph) {
 	a.wg.Wait()
 }
 
-func (a *meetAssigner) Assign(g *taskgraph.Graph, sys *platform.System) (*core.Result, error) {
+func (a *meetAssigner) Assign(ctx context.Context, g *taskgraph.Graph, sys *platform.System,
+	sc *core.Scratch, recycle *core.Result) (*core.Result, error) {
 	a.rendezvous(g)
-	return a.Assigner.Assign(g, sys)
+	return a.Assigner.Assign(ctx, g, sys, sc, recycle)
 }
 
 // TestPoolOccupancyMultiCore is the regression test for ROADMAP item 1's
@@ -138,7 +138,7 @@ func TestCrossCacheSaturationFlush(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got, want) {
-		t.Error("saturated-cache table differs from unorchestrated reference")
+		t.Error("saturated-cache table differs from private-orchestrator reference")
 	}
 	snap := rec.Snapshot()
 	if snap.CrossRejected == 0 {
@@ -146,78 +146,5 @@ func TestCrossCacheSaturationFlush(t *testing.T) {
 	}
 	if snap.CrossFlushes == 0 {
 		t.Error("no capacity flush recorded on a saturated cache")
-	}
-}
-
-// deltaBatch is a Custom generator for the delta-reuse sweep: every graph
-// in the batch shares one structure (two independent four-subtask chains)
-// and differs only in the cost of the first chain's root, the shape of a
-// re-analysis workload where measured execution times drift between
-// sweeps. Structure identity is what lets consecutive DistributeDelta runs
-// on one worker's scratch replay the untouched chain's evaluations.
-func deltaBatch(src *rng.Source) (*taskgraph.Graph, error) {
-	b := taskgraph.NewBuilder()
-	var prev taskgraph.NodeID
-	for c := 0; c < 2; c++ {
-		for i := 0; i < 4; i++ {
-			cost := 10.0 + float64(c*4+i)
-			if c == 0 && i == 0 {
-				cost *= src.Float64In(1.0, 1.2)
-			}
-			id := b.AddSubtask("s", cost)
-			if i > 0 {
-				b.Connect(prev, id, 2)
-			}
-			prev = id
-		}
-		b.SetEndToEnd(prev, 400)
-	}
-	return b.Finalize()
-}
-
-// TestRunDeltaReuseMatches is the engine-level determinism property of
-// Config.DeltaReuse: on a batch of structurally identical graphs with
-// drifting execution times, the delta-enabled sweep must actually replay
-// carried evaluations (DeltaReuses > 0) and still produce tables
-// bit-identical to the same sweep with the flag off — orchestrated or not.
-func TestRunDeltaReuseMatches(t *testing.T) {
-	cfg := Default(generator.MDET)
-	cfg.Graphs = 6
-	cfg.Sizes = []int{4}
-	cfg.Workers = 1
-	cfg.Custom = deltaBatch
-	asg := []Assigner{Slicing(core.PURE(), core.CCNE())}
-
-	want, err := cfg.Run("delta", asg...)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	rec := metrics.New()
-	dc := cfg
-	dc.DeltaReuse = true
-	dc.Metrics = rec
-	got, err := dc.Run("delta", asg...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Error("delta-reuse table differs from plain table")
-	}
-	if snap := rec.Snapshot(); snap.Search.DeltaReuses == 0 {
-		t.Error("delta-enabled sweep over a structurally identical batch replayed nothing")
-	}
-
-	orc := NewOrchestrator(2)
-	defer orc.Close()
-	oc := dc
-	oc.Metrics = nil
-	oc.Orchestrator = orc
-	got, err = oc.Run("delta", asg...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Error("orchestrated delta-reuse table differs from plain table")
 	}
 }

@@ -1,15 +1,22 @@
 package experiment
 
 import (
+	"context"
+	"errors"
 	"math"
 	"reflect"
+	"runtime"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"deadlinedist/internal/core"
 	"deadlinedist/internal/generator"
 	"deadlinedist/internal/metrics"
 	"deadlinedist/internal/platform"
+	"deadlinedist/internal/scheduler"
 	"deadlinedist/internal/strategy"
 	"deadlinedist/internal/taskgraph"
 )
@@ -32,10 +39,11 @@ func orcAssigners() []Assigner {
 	}
 }
 
-// TestOrchestratedRunMatchesUnorchestrated is the determinism property of
-// the shared pool: the same sweep through orchestrators of any worker count
-// produces tables bit-identical to the unorchestrated reference.
-func TestOrchestratedRunMatchesUnorchestrated(t *testing.T) {
+// TestPrivateOrchestratorMatchesShared is the determinism property of the
+// shared pool: the same sweep through supplied orchestrators of any worker
+// count produces tables bit-identical to a run on its own private
+// orchestrator (Config.Orchestrator nil).
+func TestPrivateOrchestratorMatchesShared(t *testing.T) {
 	cfg := orcCfg()
 	asg := orcAssigners()
 	want, err := cfg.Run("ref", asg...)
@@ -52,7 +60,67 @@ func TestOrchestratedRunMatchesUnorchestrated(t *testing.T) {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
 		if !reflect.DeepEqual(got, want) {
-			t.Errorf("workers=%d: orchestrated table differs from sequential reference", workers)
+			t.Errorf("workers=%d: shared-orchestrator table differs from private-orchestrator reference", workers)
+		}
+	}
+}
+
+// poolWorkers counts the live orchestrator pool goroutines.
+func poolWorkers() int {
+	buf := make([]byte, 1<<20)
+	for {
+		n := runtime.Stack(buf, true)
+		if n < len(buf) {
+			return strings.Count(string(buf[:n]), "experiment.(*Orchestrator).worker(")
+		}
+		buf = make([]byte, 2*len(buf))
+	}
+}
+
+// TestPrivateOrchestratorNoLeak: a run without a supplied Orchestrator
+// builds a private one and closes it on every exit — success, a domain
+// error (fail-fast) and cancellation — so no pool goroutine outlives Run.
+func TestPrivateOrchestratorNoLeak(t *testing.T) {
+	before := poolWorkers()
+	cancelled, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	cfg := orcCfg()
+	cfg.Workers = 3
+	cases := []struct {
+		name    string
+		ctx     context.Context
+		cfg     Config
+		asg     Assigner
+		wantErr bool
+	}{
+		{"success", context.Background(), cfg, Slicing(core.PURE(), core.CCNE()), false},
+		{"domain-error", context.Background(), cfg, failingAssigner{attempts: &atomic.Int64{}}, true},
+		{"cancelled", cancelled, func() Config {
+			c := cfg
+			c.Measure = func(g *taskgraph.Graph, res *core.Result, sched *scheduler.Schedule) float64 {
+				cancel() // stop the run from inside the first measured cell
+				return MaxLateness(g, res, sched)
+			}
+			return c
+		}(), Slicing(core.PURE(), core.CCNE()), true},
+	}
+	for _, tc := range cases {
+		_, err := tc.cfg.RunContext(tc.ctx, tc.name, tc.asg)
+		if (err != nil) != tc.wantErr {
+			t.Fatalf("%s: err = %v, want error %v", tc.name, err, tc.wantErr)
+		}
+		var pe *PartialError
+		if tc.name == "cancelled" && !errors.As(err, &pe) {
+			t.Fatalf("cancelled: err = %v, want a *PartialError", err)
+		}
+		// Close has joined the workers by the time Run returns; the short
+		// poll only absorbs stack-dump timing.
+		deadline := time.Now().Add(2 * time.Second)
+		for poolWorkers() > before {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s: %d pool goroutines left behind (baseline %d)", tc.name, poolWorkers(), before)
+			}
+			time.Sleep(10 * time.Millisecond)
 		}
 	}
 }
@@ -179,11 +247,12 @@ func (a nanFPAssigner) Fingerprint(*taskgraph.Graph, *platform.System) ([]float6
 	return []float64{math.NaN(), 1}, true
 }
 
-func (a nanFPAssigner) Assign(g *taskgraph.Graph, sys *platform.System) (*core.Result, error) {
+func (a nanFPAssigner) Assign(ctx context.Context, g *taskgraph.Graph, sys *platform.System,
+	sc *core.Scratch, recycle *core.Result) (*core.Result, error) {
 	a.mu.Lock()
 	*a.calls++
 	a.mu.Unlock()
-	return a.inner.Assign(g, sys)
+	return a.inner.Assign(ctx, g, sys, sc, recycle)
 }
 
 // TestNaNFingerprintCachedAcrossSizes is the regression test for the

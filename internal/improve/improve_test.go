@@ -1,6 +1,7 @@
 package improve
 
 import (
+	"context"
 	"errors"
 	"testing"
 
@@ -18,7 +19,7 @@ func pipeline(t *testing.T, g *taskgraph.Graph, nproc int) (*platform.System, *c
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := core.Distributor{Metric: core.PURE(), Estimator: core.CCNE()}.Distribute(g, sys)
+	res, err := core.Distributor{Metric: core.PURE(), Estimator: core.CCNE()}.Distribute(context.Background(), g, sys, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package periodic
 
 import (
+	"context"
 	"errors"
 	"math"
 	"strings"
@@ -211,7 +212,7 @@ func TestUnrolledPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := core.Distributor{Metric: core.PURE(), Estimator: core.CCNE()}.Distribute(combined, sys)
+	res, err := core.Distributor{Metric: core.PURE(), Estimator: core.CCNE()}.Distribute(context.Background(), combined, sys, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package scheduler
 
 import (
+	"context"
 	"testing"
 
 	"deadlinedist/internal/core"
@@ -21,7 +22,7 @@ func TestSchedulerRunZeroAlloc(t *testing.T) {
 		t.Fatal(err)
 	}
 	res := func(sys *platform.System) *core.Result {
-		r, err := core.Distributor{Metric: core.ADAPT(1.25), Estimator: core.CCNE()}.Distribute(g, sys)
+		r, err := core.Distributor{Metric: core.ADAPT(1.25), Estimator: core.CCNE()}.Distribute(context.Background(), g, sys, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package scheduler
 
 import (
+	"context"
 	"math"
 	"sort"
 	"testing"
@@ -131,7 +132,7 @@ func TestScratchReuseDeterminism(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := d.Distribute(g, sys)
+		res, err := d.Distribute(context.Background(), g, sys, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

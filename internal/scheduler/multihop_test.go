@@ -1,6 +1,7 @@
 package scheduler
 
 import (
+	"context"
 	"testing"
 	"testing/quick"
 
@@ -166,7 +167,7 @@ func TestPropertyMultihopValid(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		res, err := core.Distributor{Metric: core.ADAPT(1.25), Estimator: core.CCHOP(net)}.Distribute(g, s)
+		res, err := core.Distributor{Metric: core.ADAPT(1.25), Estimator: core.CCHOP(net)}.Distribute(context.Background(), g, s, nil, nil)
 		if err != nil {
 			return false
 		}

@@ -1,6 +1,7 @@
 package scheduler
 
 import (
+	"context"
 	"errors"
 	"testing"
 	"testing/quick"
@@ -121,7 +122,7 @@ func TestPropertyPinnedWorkloadsValid(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		res, err := core.Distributor{Metric: core.ADAPT(1.25), Estimator: core.CCNE()}.Distribute(g, s)
+		res, err := core.Distributor{Metric: core.ADAPT(1.25), Estimator: core.CCNE()}.Distribute(context.Background(), g, s, nil, nil)
 		if err != nil {
 			return false
 		}

@@ -1,6 +1,7 @@
 package scheduler
 
 import (
+	"context"
 	"testing"
 	"testing/quick"
 
@@ -132,7 +133,7 @@ func TestPropertyPreemptiveValid(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		res, err := core.Distributor{Metric: core.ADAPT(1.25), Estimator: core.CCNE()}.Distribute(g, s)
+		res, err := core.Distributor{Metric: core.ADAPT(1.25), Estimator: core.CCNE()}.Distribute(context.Background(), g, s, nil, nil)
 		if err != nil {
 			return false
 		}

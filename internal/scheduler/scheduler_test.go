@@ -1,6 +1,7 @@
 package scheduler
 
 import (
+	"context"
 	"errors"
 	"math"
 	"strings"
@@ -48,7 +49,7 @@ func manualResult(g *taskgraph.Graph, abs map[taskgraph.NodeID]float64) *core.Re
 
 func distributed(t *testing.T, g *taskgraph.Graph, s *platform.System) *core.Result {
 	t.Helper()
-	res, err := core.Distributor{Metric: core.PURE(), Estimator: core.CCNE()}.Distribute(g, s)
+	res, err := core.Distributor{Metric: core.PURE(), Estimator: core.CCNE()}.Distribute(context.Background(), g, s, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -434,7 +435,7 @@ func TestPropertyScheduleValid(t *testing.T) {
 		}
 		cfg := Config{RespectRelease: respect}
 		for _, m := range metrics {
-			res, err := core.Distributor{Metric: m, Estimator: core.CCAA()}.Distribute(g, s)
+			res, err := core.Distributor{Metric: m, Estimator: core.CCAA()}.Distribute(context.Background(), g, s, nil, nil)
 			if err != nil {
 				t.Logf("seed %d: distribute: %v", seed, err)
 				return false

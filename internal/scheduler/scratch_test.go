@@ -1,6 +1,7 @@
 package scheduler
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -32,7 +33,7 @@ func reuseCases(t *testing.T, opts ...platform.Option) []reuseCase {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := core.Distributor{Metric: core.ADAPT(1.25), Estimator: core.CCNE()}.Distribute(g, sys)
+			res, err := core.Distributor{Metric: core.ADAPT(1.25), Estimator: core.CCNE()}.Distribute(context.Background(), g, sys, nil, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -1,6 +1,7 @@
 package scheduler
 
 import (
+	"context"
 	"errors"
 	"math"
 	"reflect"
@@ -124,7 +125,7 @@ func shadowCases(t *testing.T, opts ...platform.Option) []reuseCase {
 			if seed%3 == 0 {
 				d = core.Distributor{Metric: core.NORM(), Estimator: core.CCAA()}
 			}
-			res, err := d.Distribute(g, sys)
+			res, err := d.Distribute(context.Background(), g, sys, nil, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

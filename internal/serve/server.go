@@ -115,12 +115,25 @@ type Server struct {
 
 	// Request accounting, exported via /metrics.
 	served   atomic.Int64 // 2xx responses
-	failed   [4]atomic.Int64
+	failed   [len(failClasses)]atomic.Int64
 	retries  atomic.Int64
 	inflight atomic.Int64
 }
 
-var classIndex = map[Class]int{ClassInvalid: 0, ClassOverload: 1, ClassTransient: 2, ClassInternal: 3}
+// failClasses fixes the slot of each error class in Server.failed, and so
+// the order of their /metrics lines.
+var failClasses = [...]Class{ClassInvalid, ClassOverload, ClassTransient, ClassInternal}
+
+// failSlot returns c's index in failClasses (an unknown class counts as
+// invalid).
+func failSlot(c Class) int {
+	for i, fc := range failClasses {
+		if fc == c {
+			return i
+		}
+	}
+	return 0
+}
 
 // New builds a stopped server. Start runs it; Drain stops it.
 func New(cfg Config) *Server {
@@ -167,8 +180,13 @@ func (s *Server) Ladder() *Ladder { return s.ladder }
 // Readiness exposes the /healthz–/readyz state machine.
 func (s *Server) Readiness() *obs.Readiness { return s.ready }
 
-// Addr returns the bound listen address (valid after Start).
-func (s *Server) Addr() string { return s.ln.Addr().String() }
+// Addr returns the bound listen address, or "" before Start.
+func (s *Server) Addr() string {
+	if s.ln == nil {
+		return ""
+	}
+	return s.ln.Addr().String()
+}
 
 // Handler returns the server's HTTP mux — the serving surface plus the
 // ops endpoints, so one port carries both.
@@ -241,6 +259,10 @@ func (s *Server) pressureLoop() {
 //     caps ctx when the caller passed a looser one;
 //  4. release the pool (when owned) and the pressure ticker.
 //
+// A server that was never Started (mounted through Handler) has no
+// listener or ticker to stop: Drain flips readiness and releases an owned
+// pool at once, so its caller shuts its own http.Server down first.
+//
 // Drain is idempotent; concurrent calls wait for the first.
 func (s *Server) Drain(ctx context.Context) error {
 	s.drainMu.Lock()
@@ -253,9 +275,12 @@ func (s *Server) Drain(ctx context.Context) error {
 	bound := s.cfg.MaxBudget + s.cfg.DrainSlack
 	dctx, cancel := context.WithTimeout(ctx, bound)
 	defer cancel()
-	err := s.srv.Shutdown(dctx)
-	close(s.stopTick)
-	<-s.tickDone
+	var err error
+	if s.srv != nil {
+		err = s.srv.Shutdown(dctx)
+		close(s.stopTick)
+		<-s.tickDone
+	}
 	if s.ownOrc {
 		s.orc.Close()
 	}
@@ -476,7 +501,7 @@ func (s *Server) writeBody(w http.ResponseWriter, rs *reqState, body []byte, hit
 
 // writeError writes the single taxonomy error of a failed request.
 func (s *Server) writeError(w http.ResponseWriter, rs *reqState, e *Error, retryAfter time.Duration) {
-	s.failed[classIndex[e.Class]].Add(1)
+	s.failed[failSlot(e.Class)].Add(1)
 	rs.status, rs.outcome, rs.detail = e.Class.Status(), obs.OutcomeError, string(e.Class)
 	w.Header().Set("Content-Type", "application/json")
 	if retryAfter > 0 {
@@ -516,7 +541,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	fmt.Fprintf(w, "# HELP dlserve_requests_total Served requests by outcome.\n")
 	fmt.Fprintf(w, "# TYPE dlserve_requests_total counter\n")
 	fmt.Fprintf(w, "dlserve_requests_total{outcome=\"ok\"} %d\n", s.served.Load())
-	for class, i := range classIndex {
+	for i, class := range failClasses {
 		fmt.Fprintf(w, "dlserve_requests_total{outcome=%q} %d\n", string(class), s.failed[i].Load())
 	}
 	fmt.Fprintf(w, "# HELP dlserve_inflight Requests past admission right now.\n")

@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"context"
 	"encoding/json"
 	"strings"
 	"testing"
@@ -29,7 +30,7 @@ func pipeline(t *testing.T, preemptive bool) (*taskgraph.Graph, *core.Result, *s
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := core.Distributor{Metric: core.PURE(), Estimator: core.CCNE()}.Distribute(g, sys)
+	res, err := core.Distributor{Metric: core.PURE(), Estimator: core.CCNE()}.Distribute(context.Background(), g, sys, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
