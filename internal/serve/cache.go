@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"crypto/sha256"
 	"sync"
 	"sync/atomic"
 )
@@ -23,15 +24,44 @@ import (
 // Eviction is FIFO at a fixed capacity — the bound matters (a daemon must
 // not grow without limit on unique traffic); the policy barely does
 // (identical-content retries cluster in time).
+//
+// In front of the content keys sits an alias table: the sha256 of a
+// request's exact body bytes, plus the assigner an unpinned request
+// resolves to at the serving tier, maps to the content key and the
+// body's own scalars. A byte-identical resubmit finds its key there
+// without decoding or canonicalizing anything. An alias is entered only
+// once a full parse of the body succeeded, and shares the entries' mutex
+// and capacity bound. Aliases are evicted FIFO in their own order, so one
+// may outlive its body: the request then decodes the body lazily and
+// computes the answer again.
 
 type respCache struct {
 	mu      sync.Mutex
 	entries map[string]*respEntry
 	order   []string // insertion order of settled entries, for eviction
+	aliases map[aliasKey]alias
+	aorder  []aliasKey // insertion order of aliases, for eviction
 	cap     int
 
-	hits   atomic.Int64
-	misses atomic.Int64
+	hits      atomic.Int64
+	misses    atomic.Int64
+	aliasHits atomic.Int64
+}
+
+// aliasKey addresses a request body by its exact bytes. The label is the
+// assigner an unpinned request resolves to at the serving tier (ADAPT at
+// full fidelity, PURE when degraded): the same bytes address a different
+// answer once the ladder moves.
+type aliasKey struct {
+	digest [sha256.Size]byte
+	label  string
+}
+
+// alias is what a body resolves to: its content key, and the scalars the
+// body itself states (never header overrides, which vary per request).
+type alias struct {
+	key string
+	env envelope
 }
 
 type respEntry struct {
@@ -44,32 +74,43 @@ func newRespCache(capacity int) *respCache {
 	if capacity <= 0 {
 		capacity = 4096
 	}
-	return &respCache{entries: make(map[string]*respEntry), cap: capacity}
+	return &respCache{
+		entries: make(map[string]*respEntry),
+		aliases: make(map[aliasKey]alias),
+		cap:     capacity,
+	}
 }
 
-// lookup waits for the cached body of key if an entry exists (a concurrent
-// owner's entry blocks until it settles). The bool reports whether the
-// cache answered; a false return means the caller should compute via
-// begin.
-func (c *respCache) lookup(ctx context.Context, key string) ([]byte, *Error, bool) {
+// lookupAlias returns the alias of a body, if one is remembered.
+func (c *respCache) lookupAlias(k aliasKey) (alias, bool) {
 	c.mu.Lock()
-	e, ok := c.entries[key]
+	a, ok := c.aliases[k]
 	c.mu.Unlock()
-	if !ok {
-		return nil, nil, false
+	if ok {
+		c.aliasHits.Add(1)
 	}
-	c.hits.Add(1)
-	select {
-	case <-e.ready:
-		return e.body, e.err, true
-	case <-ctx.Done():
-		return nil, Classify(ctx.Err()), true
+	return a, ok
+}
+
+// remember enters the alias of a successfully parsed body, evicting the
+// oldest alias beyond capacity.
+func (c *respCache) remember(k aliasKey, a alias) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if _, ok := c.aliases[k]; ok {
+		return
+	}
+	c.aliases[k] = a
+	c.aorder = append(c.aorder, k)
+	for len(c.aorder) > c.cap {
+		delete(c.aliases, c.aorder[0])
+		c.aorder = c.aorder[1:]
 	}
 }
 
 // begin claims the singleflight slot for key. When owner is true the
 // caller must settle(key, e, ...) exactly once; otherwise e is another
-// owner's in-flight entry to wait on (via lookup semantics).
+// owner's in-flight entry to wait on.
 func (c *respCache) begin(key string) (e *respEntry, owner bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -322,9 +322,11 @@ func TestSLOMetricsExposition(t *testing.T) {
 
 // TestDisabledSinksAllocFlat: with every sink nil, the warmed cache-hit
 // request path must stay allocation-flat — the observability layer may not
-// tax the disabled configuration. The bound is generous (parsing, the
-// response write and the recorder all allocate); an accidentally-enabled
-// sink encoding JSON per request blows well past it.
+// tax the disabled configuration, and a byte-identical resubmit must not
+// parse. The bound leaves room for the test's request and recorder, the
+// response headers, the budget context and admission; an accidentally
+// enabled sink encoding JSON per request, or a hit that decodes its graph
+// again, blows well past it.
 func TestDisabledSinksAllocFlat(t *testing.T) {
 	orc := experiment.NewOrchestrator(1)
 	defer orc.Close()
@@ -346,7 +348,7 @@ func TestDisabledSinksAllocFlat(t *testing.T) {
 			t.Fatalf("cache-hit request: %d", code)
 		}
 	})
-	const limit = 150
+	const limit = 60
 	if avg > limit {
 		t.Errorf("disabled-sinks cache-hit path: %.1f allocs/op, limit %d", avg, limit)
 	}

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/binary"
@@ -9,6 +10,8 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"strconv"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -95,47 +98,64 @@ const (
 	maxProcs      = 512
 	maxSubtasks   = 20000
 	maxBodyBytes  = 8 << 20
+	maxPooledBuf  = 1 << 20 // larger body and key buffers are not recycled
 	serveFaultTag = "serve" // trace table / retry-seed namespace
 )
 
 // parsedRequest is a validated request, resolved against the server
-// config and the active degrade tier.
+// config and the active degrade tier. A byte-identical resubmit resolves
+// from its alias without parsing (server.go), so graph, sys and assigner
+// stay nil until prepare builds them: only the request that computes
+// needs them.
 type parsedRequest struct {
+	raw      []byte // the request body, valid until the handler returns
 	graph    *taskgraph.Graph
 	sys      *platform.System
 	assigner experiment.Assigner
+	procs    int
 	label    string // registry name (PURE, ADAPT, ...), not Label()
 	policy   scheduler.Policy
 	key      string // sha256 content address
 	tenant   string
 	class    LatencyClass
 	budget   time.Duration
-	pinned   bool // assigner explicitly requested
 }
 
-// assignerFor resolves a registry name. The registry is deliberately the
-// paper's stock set: slicing metrics run with CCNE estimation (the
-// paper's best) and defaultDelta/threshold parameters matching dlexp.
-func assignerFor(name string) (experiment.Assigner, error) {
-	switch name {
-	case "PURE":
-		return experiment.Slicing(core.PURE(), core.CCNE()), nil
-	case "NORM":
-		return experiment.Slicing(core.NORM(), core.CCNE()), nil
-	case "THRES":
-		return experiment.Slicing(core.THRES(1.0, 1.25), core.CCNE()), nil
-	case "ADAPT":
-		return experiment.Slicing(core.ADAPT(1.25), core.CCNE()), nil
-	case "UD":
-		return experiment.Baseline(strategy.UD()), nil
-	case "ED":
-		return experiment.Baseline(strategy.ED()), nil
-	case "EQS":
-		return experiment.Baseline(strategy.EQS()), nil
-	case "EQF":
-		return experiment.Baseline(strategy.EQF()), nil
+// envelope is a request's scalar fields. The alias of a body remembers
+// them as the body states them; header overrides are applied to a copy on
+// every request and never stored.
+type envelope struct {
+	procs    int
+	assigner string
+	policy   string
+	budgetMs int
+	tenant   string
+	class    string
+}
+
+func (req *Request) envelope() envelope {
+	return envelope{
+		procs:    req.Procs,
+		assigner: req.Assigner,
+		policy:   req.Policy,
+		budgetMs: req.BudgetMs,
+		tenant:   req.Tenant,
+		class:    req.Class,
 	}
-	return nil, fmt.Errorf("unknown assigner %q (want PURE, NORM, THRES, ADAPT, UD, ED, EQS or EQF)", name)
+}
+
+// assigners is the registry of servable strategies. It is deliberately
+// the paper's stock set: slicing metrics run with CCNE estimation (the
+// paper's best) and defaultDelta/threshold parameters matching dlexp.
+var assigners = map[string]func() experiment.Assigner{
+	"PURE":  func() experiment.Assigner { return experiment.Slicing(core.PURE(), core.CCNE()) },
+	"NORM":  func() experiment.Assigner { return experiment.Slicing(core.NORM(), core.CCNE()) },
+	"THRES": func() experiment.Assigner { return experiment.Slicing(core.THRES(1.0, 1.25), core.CCNE()) },
+	"ADAPT": func() experiment.Assigner { return experiment.Slicing(core.ADAPT(1.25), core.CCNE()) },
+	"UD":    func() experiment.Assigner { return experiment.Baseline(strategy.UD()) },
+	"ED":    func() experiment.Assigner { return experiment.Baseline(strategy.ED()) },
+	"EQS":   func() experiment.Assigner { return experiment.Baseline(strategy.EQS()) },
+	"EQF":   func() experiment.Assigner { return experiment.Baseline(strategy.EQF()) },
 }
 
 func policyFor(name string) (scheduler.Policy, error) {
@@ -167,75 +187,102 @@ func policyName(p scheduler.Policy) string {
 	}
 }
 
-// parse validates a request against the server's limits and the active
-// tier, resolving the effective assigner and computing the content key.
-func (s *Server) parse(req *Request, tier Tier) (*parsedRequest, *Error) {
-	if len(req.Graph) == 0 {
+// defaultLabel is the assigner an unpinned request resolves to at tier:
+// full fidelity normally, the cheapest stock metric under degradation.
+func defaultLabel(tier Tier) string {
+	if tier >= TierCheap {
+		return "PURE"
+	}
+	return "ADAPT"
+}
+
+// decodeEnvelope decodes the first JSON value of a request body; bytes
+// after it are ignored.
+func decodeEnvelope(raw []byte) (*Request, *Error) {
+	var req Request
+	if err := json.NewDecoder(bytes.NewReader(raw)).Decode(&req); err != nil {
+		return nil, Errorf(ClassInvalid, "decode request: "+err.Error())
+	}
+	return &req, nil
+}
+
+// decodeGraph decodes and bounds a request's task graph.
+func decodeGraph(data json.RawMessage) (*taskgraph.Graph, *Error) {
+	if len(data) == 0 {
 		return nil, Errorf(ClassInvalid, "missing graph")
 	}
-	g, err := taskgraph.Decode(req.Graph)
+	g, err := taskgraph.Decode(data)
 	if err != nil {
 		return nil, Errorf(ClassInvalid, err.Error())
 	}
-	subtasks := 0
-	for _, n := range g.NodesView() {
-		if n.Kind == taskgraph.KindSubtask {
-			subtasks++
-		}
-	}
+	subtasks := g.NumSubtasks()
 	if subtasks == 0 {
 		return nil, Errorf(ClassInvalid, "graph has no subtasks")
 	}
 	if subtasks > maxSubtasks {
 		return nil, Errorf(ClassInvalid, fmt.Sprintf("graph has %d subtasks (limit %d)", subtasks, maxSubtasks))
 	}
-	procs := req.Procs
+	return g, nil
+}
+
+// parse is the full parse of a body no alias knows: graph checks first,
+// then the scalars (env, header overrides applied), then the content key
+// from the canonical graph bytes.
+func (s *Server) parse(req *Request, env *envelope, tier Tier) (*parsedRequest, *Error) {
+	g, perr := decodeGraph(req.Graph)
+	if perr != nil {
+		return nil, perr
+	}
+	pr, perr := s.resolve(env, tier)
+	if perr != nil {
+		return nil, perr
+	}
+	pr.graph = g
+	pr.key = contentKey(g, pr.procs, pr.label, pr.policy)
+	return pr, nil
+}
+
+// resolve validates a request's scalars against the server's limits and
+// the active tier: processor count, dispatch policy, effective assigner,
+// latency class and budget. It runs on every request, aliased or not.
+func (s *Server) resolve(env *envelope, tier Tier) (*parsedRequest, *Error) {
+	procs := env.procs
 	if procs == 0 {
 		procs = 4
 	}
 	if procs < 1 || procs > maxProcs {
 		return nil, Errorf(ClassInvalid, fmt.Sprintf("procs %d out of range [1, %d]", procs, maxProcs))
 	}
-	sys, err := platform.New(procs)
-	if err != nil {
-		return nil, Errorf(ClassInvalid, err.Error())
-	}
-	policy, err := policyFor(req.Policy)
+	policy, err := policyFor(env.policy)
 	if err != nil {
 		return nil, Errorf(ClassInvalid, err.Error())
 	}
 
 	// Resolve the effective assigner: a pinned request is honored at
 	// every computing tier (the client asked for exactly this answer); an
-	// unpinned one gets the tier default — full fidelity normally, the
-	// cheapest stock metric under degradation.
-	label := req.Assigner
-	pinned := label != ""
-	if !pinned {
-		if tier >= TierCheap {
-			label = "PURE"
-		} else {
-			label = "ADAPT"
-		}
+	// unpinned one gets the tier default.
+	label := env.assigner
+	if label == "" {
+		label = defaultLabel(tier)
 	}
-	asg, err := assignerFor(label)
-	if err != nil {
-		return nil, Errorf(ClassInvalid, err.Error())
+	if _, ok := assigners[label]; !ok {
+		return nil, Errorf(ClassInvalid,
+			fmt.Sprintf("unknown assigner %q (want PURE, NORM, THRES, ADAPT, UD, ED, EQS or EQF)", label))
 	}
 
 	// The latency class shapes scoring and budget, never the answer.
 	class := s.slo.cfg.DefaultClass
-	if req.Class != "" {
+	if env.class != "" {
 		var ok bool
-		if class, ok = parseLatencyClass(req.Class); !ok {
+		if class, ok = parseLatencyClass(env.class); !ok {
 			return nil, Errorf(ClassInvalid,
-				fmt.Sprintf("unknown latency class %q (want interactive, standard or batch)", req.Class))
+				fmt.Sprintf("unknown latency class %q (want interactive, standard or batch)", env.class))
 		}
 	}
 
 	budget := s.cfg.DefaultBudget
-	if req.BudgetMs > 0 {
-		budget = time.Duration(req.BudgetMs) * time.Millisecond
+	if env.budgetMs > 0 {
+		budget = time.Duration(env.budgetMs) * time.Millisecond
 	}
 	if budget > s.cfg.MaxBudget {
 		budget = s.cfg.MaxBudget
@@ -246,31 +293,60 @@ func (s *Server) parse(req *Request, tier Tier) (*parsedRequest, *Error) {
 		budget = cb
 	}
 
-	// The content address covers exactly the answer's inputs: canonical
-	// graph bytes (re-marshalled, so formatting differences collapse),
-	// platform size, assigner, policy. Budget and tenant are excluded —
-	// they shape how long we try, not what the answer is.
-	canon, err := json.Marshal(g)
-	if err != nil {
-		return nil, Errorf(ClassInternal, "canonicalize graph: "+err.Error())
-	}
-	h := sha256.New()
-	h.Write(canon)
-	fmt.Fprintf(h, "|procs=%d|assigner=%s|policy=%s", procs, label, policyName(policy))
-	key := hex.EncodeToString(h.Sum(nil))
-
 	return &parsedRequest{
-		graph:    g,
-		sys:      sys,
-		assigner: asg,
-		label:    label,
-		policy:   policy,
-		key:      key,
-		tenant:   req.Tenant,
-		class:    class,
-		budget:   budget,
-		pinned:   pinned,
+		procs:  procs,
+		label:  label,
+		policy: policy,
+		tenant: env.tenant,
+		class:  class,
+		budget: budget,
 	}, nil
+}
+
+// canonBufs recycles the buffers content keys are hashed from.
+var canonBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// contentKey is the content address: it covers exactly the answer's
+// inputs — canonical graph bytes (so formatting differences collapse),
+// platform size, assigner, policy. Budget, tenant and class are excluded:
+// they shape how long we try, not what the answer is.
+func contentKey(g *taskgraph.Graph, procs int, label string, policy scheduler.Policy) string {
+	bp := canonBufs.Get().(*[]byte)
+	buf := g.AppendCanonical((*bp)[:0])
+	buf = append(buf, "|procs="...)
+	buf = strconv.AppendInt(buf, int64(procs), 10)
+	buf = append(buf, "|assigner="...)
+	buf = append(buf, label...)
+	buf = append(buf, "|policy="...)
+	buf = append(buf, policyName(policy)...)
+	sum := sha256.Sum256(buf)
+	if cap(buf) <= maxPooledBuf {
+		*bp = buf
+		canonBufs.Put(bp)
+	}
+	return hex.EncodeToString(sum[:])
+}
+
+// prepare builds what computing needs and an alias hit skipped: the graph,
+// decoded from the raw body, plus the platform and the assigner. Only the
+// singleflight owner calls it.
+func (pr *parsedRequest) prepare() *Error {
+	if pr.graph == nil {
+		req, perr := decodeEnvelope(pr.raw)
+		if perr != nil {
+			return perr
+		}
+		if pr.graph, perr = decodeGraph(req.Graph); perr != nil {
+			return perr
+		}
+	}
+	sys, err := platform.New(pr.procs)
+	if err != nil {
+		return Errorf(ClassInvalid, err.Error())
+	}
+	pr.sys = sys
+	pr.assigner = assigners[pr.label]()
+	return nil
 }
 
 // faultIndex derives the chaos harness's graph index from the request key,

@@ -1,9 +1,10 @@
 package serve
 
 import (
+	"bytes"
 	"context"
+	"crypto/sha256"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -108,6 +109,8 @@ type Server struct {
 
 	ln       net.Listener
 	srv      *http.Server
+	tickOnce sync.Once
+	ticking  bool // pressureLoop runs; guarded by drainMu
 	stopTick chan struct{}
 	tickDone chan struct{}
 	drainMu  sync.Mutex
@@ -189,8 +192,11 @@ func (s *Server) Addr() string {
 }
 
 // Handler returns the server's HTTP mux — the serving surface plus the
-// ops endpoints, so one port carries both.
+// ops endpoints, so one port carries both. The first call (Start makes
+// it) starts the pressure ticker, so a server mounted on the caller's own
+// http.Server degrades and alerts like a Started one; Drain stops it.
 func (s *Server) Handler() http.Handler {
+	s.tickOnce.Do(s.startTicker)
 	mux := http.NewServeMux()
 	mux.HandleFunc("/v1/assign", s.handleAssign)
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, _ *http.Request) {
@@ -222,9 +228,18 @@ func (s *Server) Start(addr string) error {
 	s.ln = ln
 	s.srv = &http.Server{Handler: s.Handler()}
 	go s.srv.Serve(ln)
-	go s.pressureLoop()
 	s.ready.SetStarted(true)
 	return nil
+}
+
+// startTicker starts pressureLoop unless the server has already drained.
+func (s *Server) startTicker() {
+	s.drainMu.Lock()
+	defer s.drainMu.Unlock()
+	if !s.drained {
+		s.ticking = true
+		go s.pressureLoop()
+	}
 }
 
 // pressureLoop feeds the degrade ladder the larger of two pressure
@@ -257,11 +272,13 @@ func (s *Server) pressureLoop() {
 //  3. wait for in-flight requests to finish — each is bounded by its own
 //     budget, so the wait converges within MaxBudget + DrainSlack, which
 //     caps ctx when the caller passed a looser one;
-//  4. release the pool (when owned) and the pressure ticker.
+//  4. release the pool (when owned) and the pressure ticker (when
+//     Handler or Start started it).
 //
 // A server that was never Started (mounted through Handler) has no
-// listener or ticker to stop: Drain flips readiness and releases an owned
-// pool at once, so its caller shuts its own http.Server down first.
+// listener to stop: Drain flips readiness, stops the ticker and releases
+// an owned pool at once, so its caller shuts its own http.Server down
+// first.
 //
 // Drain is idempotent; concurrent calls wait for the first.
 func (s *Server) Drain(ctx context.Context) error {
@@ -278,6 +295,8 @@ func (s *Server) Drain(ctx context.Context) error {
 	var err error
 	if s.srv != nil {
 		err = s.srv.Shutdown(dctx)
+	}
+	if s.ticking {
 		close(s.stopTick)
 		<-s.tickDone
 	}
@@ -289,6 +308,10 @@ func (s *Server) Drain(ctx context.Context) error {
 	}
 	return nil
 }
+
+// bodyBufs recycles request-body buffers: nothing retains the bytes past
+// the handler (decoding copies what it keeps).
+var bodyBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
 // handleAssign is the request path: taxonomy boundary → admission →
 // degrade tier → cache → pipeline. Every exit writes exactly one
@@ -327,17 +350,39 @@ func (s *Server) handleAssign(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, rs, Errorf(ClassTransient, "server is draining"), 0)
 		return
 	}
-	var req Request
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	if err := dec.Decode(&req); err != nil {
+	// Read once, hash once: the digest of the exact body bytes finds a
+	// byte-identical resubmit's alias, which answers without parsing.
+	buf := bodyBufs.Get().(*bytes.Buffer)
+	buf.Reset()
+	defer func() {
+		if buf.Cap() <= maxPooledBuf {
+			bodyBufs.Put(buf)
+		}
+	}()
+	if _, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, maxBodyBytes)); err != nil {
 		s.writeError(w, rs, Errorf(ClassInvalid, "decode request: "+err.Error()), 0)
 		return
 	}
+	raw := buf.Bytes()
+	ak := aliasKey{digest: sha256.Sum256(raw), label: defaultLabel(rs.tier)}
+	al, aliased := s.cache.lookupAlias(ak)
+	var req *Request
+	env := al.env
+	if !aliased {
+		var perr *Error
+		if req, perr = decodeEnvelope(raw); perr != nil {
+			s.writeError(w, rs, perr, 0)
+			return
+		}
+		env = req.envelope()
+	}
+	// Header overrides apply to this request only, never to the alias.
+	eff := env
 	if t := r.Header.Get("X-Tenant"); t != "" {
-		req.Tenant = t
+		eff.tenant = t
 	}
 	if c := r.Header.Get("X-Latency-Class"); c != "" {
-		req.Class = c
+		eff.class = c
 	}
 	if b := r.Header.Get("X-Budget-Ms"); b != "" {
 		ms, err := strconv.Atoi(b)
@@ -345,7 +390,7 @@ func (s *Server) handleAssign(w http.ResponseWriter, r *http.Request) {
 			s.writeError(w, rs, Errorf(ClassInvalid, "bad X-Budget-Ms "+b), 0)
 			return
 		}
-		req.BudgetMs = ms
+		eff.budgetMs = ms
 	}
 
 	// Degrade-tier resolution, as its own (instant) child span: which
@@ -358,11 +403,20 @@ func (s *Server) handleAssign(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	pr, perr := s.parse(&req, rs.tier)
+	var pr *parsedRequest
+	var perr *Error
+	if aliased {
+		if pr, perr = s.resolve(&eff, rs.tier); perr == nil {
+			pr.key = al.key
+		}
+	} else if pr, perr = s.parse(req, &eff, rs.tier); perr == nil {
+		s.cache.remember(ak, alias{key: pr.key, env: env})
+	}
 	if perr != nil {
 		s.writeError(w, rs, perr, 0)
 		return
 	}
+	pr.raw = raw
 	rs.key, rs.tenant, rs.class = pr.key, pr.tenant, pr.class
 
 	// The request budget becomes the context deadline every later stage
@@ -418,7 +472,9 @@ func (s *Server) handleAssign(w http.ResponseWriter, r *http.Request) {
 	if owner {
 		rs.cacheTag = "miss"
 		cpt := rs.stageStart()
-		body, cerr = s.compute(ctx, pr, rs)
+		if cerr = pr.prepare(); cerr == nil {
+			body, cerr = s.compute(ctx, pr, rs)
+		}
 		if !cpt.IsZero() {
 			rs.computeDur = time.Since(cpt)
 		}
@@ -554,15 +610,12 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	fmt.Fprintf(w, "# TYPE dlserve_ladder_escalations_total counter\ndlserve_ladder_escalations_total %d\n", s.ladder.Escalations())
 	fmt.Fprintf(w, "# HELP dlserve_tier_transitions_total Tier changes in either direction.\n")
 	fmt.Fprintf(w, "# TYPE dlserve_tier_transitions_total counter\ndlserve_tier_transitions_total %d\n", s.ladder.Transitions())
-	fmt.Fprintf(w, "# HELP dlserve_response_cache_total Content-addressed response cache traffic.\n")
+	fmt.Fprintf(w, "# HELP dlserve_response_cache_total Content-addressed response cache traffic (alias: raw-body digests resolved without parsing).\n")
 	fmt.Fprintf(w, "# TYPE dlserve_response_cache_total counter\n")
 	fmt.Fprintf(w, "dlserve_response_cache_total{event=\"hit\"} %d\n", s.cache.hits.Load())
 	fmt.Fprintf(w, "dlserve_response_cache_total{event=\"miss\"} %d\n", s.cache.misses.Load())
+	fmt.Fprintf(w, "dlserve_response_cache_total{event=\"alias\"} %d\n", s.cache.aliasHits.Load())
 	fmt.Fprintf(w, "# HELP dlserve_retries_total Attempt retries within requests.\n")
 	fmt.Fprintf(w, "# TYPE dlserve_retries_total counter\ndlserve_retries_total %d\n", s.retries.Load())
 	obs.WriteSLOPrometheus(w, s.slo.snapshot())
 }
-
-// errors import anchor (Classify lives in errors.go; keep the import local
-// to the file that needs it).
-var _ = errors.Is
